@@ -27,9 +27,27 @@ use crate::state::SchedulerContext;
 /// ([`Profile::rebuild_from`]) — no sort and, once warm, no allocation
 /// per pass. Reservations for the tentative plan are carved into the
 /// scratch copy, which the next pass overwrites.
+///
+/// Per-pass cost: O(Q) to fill the suffix minimum of the Q queued jobs'
+/// widths, then, for each job planned, one O(log P + P) sweep of
+/// [`Profile::earliest_start`] and an O(P) reservation over the
+/// profile's P breakpoints (P grows by at most two per planned job).
+///
+/// Planning stops early, at the first job `i` where fewer processors
+/// are free *now* than the narrowest job in `queue[i..]` needs. The
+/// exit is exact: a pass outputs only the jobs that start now,
+/// [`Profile::earliest_start`] returns now only when at least `procs`
+/// are free now, every valid job needs at least one processor, and
+/// [`Profile::reserve`] only ever removes capacity — so no job from `i`
+/// on could start in this pass.
+///
+/// On a multi-partition cluster, jobs wider than the partition are
+/// skipped: no plan on this partition can host them.
 #[derive(Debug, Default, Clone)]
 pub struct ConservativeScheduler {
     profile: Profile,
+    /// `suffix_min[i]`: the fewest processors any of `queue[i..]` needs.
+    suffix_min: Vec<u32>,
     stats: ScratchStats,
 }
 
@@ -54,17 +72,39 @@ impl ConservativeScheduler {
 impl Scheduler for ConservativeScheduler {
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, starts: &mut Vec<JobId>) {
         self.stats.passes += 1;
-        let caps_before = (self.profile.capacity(), starts.capacity());
+        let caps_before = (
+            self.profile.capacity(),
+            self.suffix_min.capacity(),
+            starts.capacity(),
+        );
+        let now = ctx.now.0;
         self.profile.rebuild_from(ctx.now, ctx.free, ctx.releases);
-        for job in ctx.queue {
+        self.suffix_min.resize(ctx.queue.len(), 0);
+        let mut narrowest = u32::MAX;
+        for (min, job) in self.suffix_min.iter_mut().zip(ctx.queue).rev() {
+            narrowest = narrowest.min(job.procs);
+            *min = narrowest;
+        }
+        for (job, &narrowest) in ctx.queue.iter().zip(&self.suffix_min) {
+            if self.profile.free_at(now) < narrowest as i64 {
+                break;
+            }
+            if job.procs > ctx.machine_size {
+                continue;
+            }
             let duration = job.predicted.max(1);
-            let start = self.profile.earliest_start(ctx.now.0, job.procs, duration);
+            let start = self.profile.earliest_start(now, job.procs, duration);
             self.profile.reserve(start, duration, job.procs);
-            if start == ctx.now.0 {
+            if start == now {
                 starts.push(job.id);
             }
         }
-        if (self.profile.capacity(), starts.capacity()) != caps_before {
+        let caps_after = (
+            self.profile.capacity(),
+            self.suffix_min.capacity(),
+            starts.capacity(),
+        );
+        if caps_after != caps_before {
             self.stats.reallocating_passes += 1;
         }
     }
@@ -138,6 +178,41 @@ mod tests {
         let c = ctx(0, 10, &queue, &running);
         let starts = ConservativeScheduler::new().schedule(&c);
         assert!(starts.is_empty());
+    }
+
+    #[test]
+    fn narrow_job_after_blocked_wide_ones_still_starts_now() {
+        // Machine 10: 6 busy until 100, so 4 free. Both wide jobs are
+        // planned at 100 or later; the narrow one fits now beside them.
+        // The early exit compares the free count with the narrowest job
+        // still queued, not with the job at hand, so it must not stop at
+        // the first wide job.
+        let queue = [
+            waiting(0, 8, 200, 0),
+            waiting(1, 6, 200, 1),
+            waiting(2, 1, 50, 2),
+        ];
+        let running = [running(9, 6, 0, 100)];
+        let c = ctx(0, 10, &queue, &running);
+        let starts = ConservativeScheduler::new().schedule(&c);
+        assert_eq!(starts, vec![JobId(2)]);
+    }
+
+    #[test]
+    fn planning_stops_once_no_queued_job_fits_now() {
+        // 2 free: the first job takes both, and nothing after it can
+        // start now, whatever the plan.
+        let queue = [
+            waiting(0, 2, 100, 0),
+            waiting(1, 1, 10, 1),
+            waiting(2, 1, 10, 2),
+        ];
+        let running = [running(9, 8, 0, 100)];
+        let c = ctx(0, 10, &queue, &running);
+        let mut sched = ConservativeScheduler::new();
+        assert_eq!(sched.schedule(&c), vec![JobId(0)]);
+        // Memoryless: the same context gives the same starts again.
+        assert_eq!(sched.schedule(&c), vec![JobId(0)]);
     }
 
     #[test]

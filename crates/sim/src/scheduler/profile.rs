@@ -248,54 +248,47 @@ impl Profile {
     /// Earliest start `s ≥ from` such that at least `procs` processors are
     /// free during the whole interval `[s, s + duration)`.
     ///
+    /// One forward sweep from the segment holding `from`: a candidate
+    /// start is kept, moved to the next breakpoint whenever the segment
+    /// under it has fewer than `procs` free, and returned as soon as the
+    /// next breakpoint lies at or beyond `candidate + duration` (or none
+    /// is left: the last segment extends to infinity). Each breakpoint
+    /// is read at most once, so a call costs O(log P + P) for P
+    /// breakpoints, and returns the earliest feasible start among `from`
+    /// and the later breakpoints — no other instant can be the earliest.
+    ///
     /// Feasibility is guaranteed whenever `procs` does not exceed the
     /// machine size, because capacity is non-decreasing after the last
-    /// breakpoint.
+    /// breakpoint. Otherwise the call degrades to the profile's horizon
+    /// (its last breakpoint, or `from` if later).
     pub fn earliest_start(&self, from: i64, procs: u32, duration: i64) -> i64 {
         let procs = procs as i64;
         debug_assert!(duration > 0, "reservation must have positive duration");
-        // Candidate starts: `from` itself, then every later breakpoint —
-        // examined in place (this runs once per queued job per scheduling
-        // pass, so it must not allocate).
-        if self.feasible_at(from, procs, duration) {
-            return from;
+        let horizon = || {
+            self.points
+                .last()
+                .map(|&(t, _)| t.max(from))
+                .unwrap_or(from)
+        };
+        // The segment holding `from` (clamped to the first one).
+        let mut i = self
+            .points
+            .partition_point(|&(t, _)| t <= from)
+            .saturating_sub(1);
+        let mut candidate = from;
+        while let Some(&(_, free)) = self.points.get(i) {
+            let next = self.points.get(i + 1).map(|&(t, _)| t);
+            if free < procs {
+                match next {
+                    Some(t) => candidate = t,
+                    None => return horizon(),
+                }
+            } else if next.is_none_or(|t| t >= candidate + duration) {
+                return candidate;
+            }
+            i += 1;
         }
-        for i in 0..self.points.len() {
-            let s = self.points[i].0;
-            if s <= from {
-                continue;
-            }
-            if self.feasible_at(s, procs, duration) {
-                return s;
-            }
-        }
-        // With procs ≤ machine size this is unreachable; degrade to the
-        // profile's horizon for robustness.
-        self.points
-            .last()
-            .map(|&(t, _)| t.max(from))
-            .unwrap_or(from)
-    }
-
-    /// True when at least `procs` processors stay free during the whole
-    /// interval `[s, s + duration)`.
-    fn feasible_at(&self, s: i64, procs: i64, duration: i64) -> bool {
-        if self.free_at(s) < procs {
-            return false;
-        }
-        // Check every breakpoint inside (s, s+duration).
-        for &(t, f) in &self.points {
-            if t <= s {
-                continue;
-            }
-            if t >= s + duration {
-                break;
-            }
-            if f < procs {
-                return false;
-            }
-        }
-        true
+        horizon()
     }
 
     /// Removes `procs` processors during `[start, start + duration)`.
@@ -307,30 +300,33 @@ impl Profile {
     /// declared feasible.
     pub fn reserve(&mut self, start: i64, duration: i64, procs: u32) {
         let procs = procs as i64;
-        let end = start + duration;
-        self.ensure_breakpoint(start);
-        self.ensure_breakpoint(end);
-        for (t, f) in self.points.iter_mut() {
-            if *t >= start && *t < end {
-                *f -= procs;
-                debug_assert!(*f >= 0, "over-reserved profile at t={t}: {f}");
-            }
+        let lo = self.ensure_breakpoint(start);
+        // `end > start` inserts after `lo`, leaving it valid; an empty
+        // interval reserves nothing.
+        let hi = self.ensure_breakpoint(start + duration).max(lo);
+        for (t, f) in &mut self.points[lo..hi] {
+            *f -= procs;
+            debug_assert!(*f >= 0, "over-reserved profile at t={t}: {f}");
         }
     }
 
-    fn ensure_breakpoint(&mut self, t: i64) {
+    /// The index of the breakpoint at `t`, inserted (carrying the free
+    /// count of the segment it splits) if absent.
+    fn ensure_breakpoint(&mut self, t: i64) -> usize {
         match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
-            Ok(_) => {}
+            Ok(i) => i,
             Err(0) => {
                 // Before profile start: extend backwards with the same free
                 // count (callers only reserve from `now` on, so this is a
                 // defensive path).
                 let f = self.points[0].1;
                 self.points.insert(0, (t, f));
+                0
             }
             Err(i) => {
                 let f = self.points[i - 1].1;
                 self.points.insert(i, (t, f));
+                i
             }
         }
     }
@@ -400,6 +396,69 @@ mod tests {
     fn earliest_start_respects_from() {
         let p = profile();
         assert_eq!(p.earliest_start(70, 3, 10), 70);
+    }
+
+    #[test]
+    fn earliest_start_from_strictly_between_breakpoints() {
+        let p = profile();
+        // `from` inside [0,50) with too few free: the next breakpoint.
+        assert_eq!(p.earliest_start(20, 3, 10), 50);
+        // `from` inside [50,100) with too few free: the one after.
+        assert_eq!(p.earliest_start(60, 5, 10), 100);
+        // `from` inside a segment that fits: `from` itself.
+        assert_eq!(p.earliest_start(60, 4, 30), 60);
+    }
+
+    #[test]
+    fn window_ending_on_a_breakpoint_does_not_check_it() {
+        // 4 free on [0,50), none on [50,100), 4 from 100 on.
+        let mut p = Profile::new(Time(0), 4, &[]);
+        p.reserve(50, 50, 4);
+        assert_eq!(p.points(), &[(0, 4), (50, 0), (100, 4)]);
+        assert_eq!(p.earliest_start(0, 4, 50), 0);
+        assert_eq!(p.earliest_start(0, 4, 51), 100);
+        assert_eq!(p.earliest_start(10, 4, 40), 10);
+        assert_eq!(p.earliest_start(10, 4, 41), 100);
+    }
+
+    #[test]
+    fn dip_mid_window_restarts_the_candidate() {
+        // 4 free except a dip to 1 on [30,40).
+        let mut p = Profile::new(Time(0), 4, &[]);
+        p.reserve(30, 10, 3);
+        assert_eq!(p.points(), &[(0, 4), (30, 1), (40, 4)]);
+        assert_eq!(p.earliest_start(0, 2, 50), 40);
+        assert_eq!(p.earliest_start(0, 2, 30), 0);
+        // Two dips: the candidate restarts after each.
+        p.reserve(60, 10, 3);
+        assert_eq!(p.earliest_start(0, 2, 25), 0);
+        assert_eq!(p.earliest_start(0, 2, 31), 70);
+        assert_eq!(p.earliest_start(0, 2, 20), 0);
+        assert_eq!(p.earliest_start(15, 2, 20), 40);
+    }
+
+    #[test]
+    fn unbounded_last_segment_hosts_any_duration() {
+        let p = profile();
+        assert_eq!(p.earliest_start(0, 8, 1_000_000), 100);
+        assert_eq!(p.earliest_start(0, 5, i64::MAX / 2), 100);
+        // `from` past the last breakpoint.
+        assert_eq!(p.earliest_start(250, 8, 10), 250);
+    }
+
+    #[test]
+    fn horizon_fallback_when_nothing_fits() {
+        // 9 procs never fit the 8-proc profile: degrade to the horizon,
+        // the last breakpoint or `from` if that is later.
+        let p = profile();
+        assert_eq!(p.earliest_start(0, 9, 10), 100);
+        assert_eq!(p.earliest_start(70, 9, 10), 100);
+        assert_eq!(p.earliest_start(150, 9, 10), 150);
+        // A window that fits before the horizon is still found first.
+        let mut q = Profile::new(Time(0), 4, &[]);
+        q.reserve(50, 50, 4);
+        assert_eq!(q.earliest_start(0, 5, 10), 100);
+        assert_eq!(q.earliest_start(0, 4, 50), 0);
     }
 
     #[test]

@@ -107,8 +107,14 @@ impl Scheduler for ReferenceEasy {
     }
 }
 
-/// The from-scratch conservative oracle, bit-equal to the pre-refactor
-/// `ConservativeScheduler`.
+/// The from-scratch conservative oracle: the pre-refactor
+/// `ConservativeScheduler` algorithm.
+///
+/// It plans the whole queue (no early exit) on a private copy of the
+/// pre-refactor profile algorithms (`ScanProfile`), so it shares no
+/// planning code with the production scheduler. Like the production
+/// scheduler it reads only this partition's running jobs and skips jobs
+/// wider than the partition.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceConservative;
 
@@ -117,10 +123,16 @@ impl Scheduler for ReferenceConservative {
         let releases: Vec<(Time, u32)> = ctx
             .running
             .iter()
+            .filter(|r| r.partition == ctx.partition)
             .map(|r| (r.predicted_end, r.procs))
             .collect();
-        let mut profile = Profile::new(ctx.now, ctx.free, &releases);
+        let mut profile = ScanProfile {
+            points: Profile::new(ctx.now, ctx.free, &releases).points().to_vec(),
+        };
         for job in ctx.queue {
+            if job.procs > ctx.machine_size {
+                continue;
+            }
             let duration = job.predicted.max(1);
             let start = profile.earliest_start(ctx.now.0, job.procs, duration);
             profile.reserve(start, duration, job.procs);
@@ -132,6 +144,98 @@ impl Scheduler for ReferenceConservative {
 
     fn name(&self) -> String {
         "reference-conservative".into()
+    }
+}
+
+/// The pre-refactor availability-profile algorithms, kept verbatim:
+/// every candidate start is checked by rescanning the breakpoints from
+/// the first, and a reservation tests every breakpoint.
+struct ScanProfile {
+    points: Vec<(i64, i64)>,
+}
+
+impl ScanProfile {
+    fn free_at(&self, t: i64) -> i64 {
+        match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
+            Ok(i) => self.points[i].1,
+            Err(0) => self.points[0].1,
+            Err(i) => self.points[i - 1].1,
+        }
+    }
+
+    fn earliest_start(&self, from: i64, procs: u32, duration: i64) -> i64 {
+        let procs = procs as i64;
+        debug_assert!(duration > 0, "reservation must have positive duration");
+        // Candidate starts: `from` itself, then every later breakpoint —
+        // examined in place (this runs once per queued job per scheduling
+        // pass, so it must not allocate).
+        if self.feasible_at(from, procs, duration) {
+            return from;
+        }
+        for i in 0..self.points.len() {
+            let s = self.points[i].0;
+            if s <= from {
+                continue;
+            }
+            if self.feasible_at(s, procs, duration) {
+                return s;
+            }
+        }
+        // With procs ≤ machine size this is unreachable; degrade to the
+        // profile's horizon for robustness.
+        self.points
+            .last()
+            .map(|&(t, _)| t.max(from))
+            .unwrap_or(from)
+    }
+
+    fn feasible_at(&self, s: i64, procs: i64, duration: i64) -> bool {
+        if self.free_at(s) < procs {
+            return false;
+        }
+        // Check every breakpoint inside (s, s+duration).
+        for &(t, f) in &self.points {
+            if t <= s {
+                continue;
+            }
+            if t >= s + duration {
+                break;
+            }
+            if f < procs {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn reserve(&mut self, start: i64, duration: i64, procs: u32) {
+        let procs = procs as i64;
+        let end = start + duration;
+        self.ensure_breakpoint(start);
+        self.ensure_breakpoint(end);
+        for (t, f) in self.points.iter_mut() {
+            if *t >= start && *t < end {
+                *f -= procs;
+                debug_assert!(*f >= 0, "over-reserved profile at t={t}: {f}");
+            }
+        }
+    }
+
+    fn ensure_breakpoint(&mut self, t: i64) {
+        match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
+            Ok(_) => {}
+            Err(0) => {
+                // Before profile start: extend backwards with the same free
+                // count (callers only reserve from `now` on, so this is a
+                // defensive path).
+                let f = self.points[0].1;
+                self.points.insert(0, (t, f));
+            }
+            Err(i) => {
+                let f = self.points[i - 1].1;
+                self.points.insert(i, (t, f));
+            }
+        }
     }
 }
 
@@ -227,6 +331,31 @@ mod tests {
             ReferenceConservative.schedule(&c),
             ConservativeScheduler::new().schedule(&c)
         );
+    }
+
+    #[test]
+    fn conservative_oracle_plans_only_its_partition() {
+        // Partition 1 (8 procs) runs a 6-proc job until 100; a job on
+        // partition 0 releases 8 procs at 50, which partition 1 must not
+        // count. A (8 procs) is then reserved [100,200), so B (2 procs
+        // for 120) cannot start now without delaying it.
+        let queue = [waiting(0, 8, 100, 0), waiting(1, 2, 120, 1)];
+        let mut on_p1 = running(8, 6, 0, 100);
+        on_p1.partition = 1;
+        let running = [running(9, 8, 0, 50), on_p1];
+        let releases = ReleaseSet::from_running(&running[1..]);
+        let c = SchedulerContext {
+            now: Time(0),
+            partition: 1,
+            machine_size: 8,
+            free: 2,
+            queue: &queue,
+            running: &running,
+            releases: &releases,
+            shortest_first: &[0, 1],
+        };
+        assert!(ReferenceConservative.schedule(&c).is_empty());
+        assert!(ConservativeScheduler::new().schedule(&c).is_empty());
     }
 
     #[test]
